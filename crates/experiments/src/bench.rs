@@ -151,35 +151,57 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Process CPU seconds consumed so far (utime+stime from
-/// `/proc/self/stat`, USER_HZ ticks — 100 Hz on every mainstream Linux).
-/// `None` off-Linux. Throughput is computed against CPU time, not wall
-/// time: shared or quota-throttled machines (CI runners, containers)
-/// stall a process for whole scheduling periods, and a wall-clock gate
-/// trips on that noise rather than on real regressions.
-fn cpu_time_secs() -> Option<f64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // comm (field 2) may contain spaces; fields resume after the last ')'.
-    let rest = &stat[stat.rfind(')')? + 2..];
-    let mut it = rest.split_whitespace();
-    let utime: u64 = it.nth(11)?.parse().ok()?; // field 14
-    let stime: u64 = it.next()?.parse().ok()?; // field 15
-    Some((utime + stime) as f64 / 100.0)
+/// Whose CPU time a measurement is taken against.
+#[derive(Clone, Copy)]
+enum CpuClock {
+    /// The calling thread only: right for single-threaded work, and
+    /// immune to whatever else the process runs concurrently (other test
+    /// threads, a second campaign worker).
+    Thread,
+    /// The whole process: what a sharded run's worker threads add up to.
+    Process,
 }
 
-/// Measure `work` by CPU time: repeat until `target_cpu` seconds are
-/// accumulated (bounding tick-quantization error) or `max_reps` is hit.
-/// Returns (reps, cpu_secs, wall_secs). Falls back to wall time when CPU
-/// time is unavailable.
-fn measure<F: FnMut()>(target_cpu: f64, max_reps: u32, mut work: F) -> (u32, f64, f64) {
+impl CpuClock {
+    /// CPU seconds consumed so far (utime+stime from `/proc/thread-self/stat`
+    /// or `/proc/self/stat`, USER_HZ ticks — 100 Hz on every mainstream
+    /// Linux). `None` off-Linux. Throughput is computed against CPU time,
+    /// not wall time: shared or quota-throttled machines (CI runners,
+    /// containers) stall a process for whole scheduling periods, and a
+    /// wall-clock gate trips on that noise rather than on real regressions.
+    fn secs(self) -> Option<f64> {
+        let path = match self {
+            CpuClock::Thread => "/proc/thread-self/stat",
+            CpuClock::Process => "/proc/self/stat",
+        };
+        let stat = std::fs::read_to_string(path).ok()?;
+        // comm (field 2) may contain spaces; fields resume after the last ')'.
+        let rest = &stat[stat.rfind(')')? + 2..];
+        let mut it = rest.split_whitespace();
+        let utime: u64 = it.nth(11)?.parse().ok()?; // field 14
+        let stime: u64 = it.next()?.parse().ok()?; // field 15
+        Some((utime + stime) as f64 / 100.0)
+    }
+}
+
+/// Measure `work` by `clock`'s CPU time: repeat until `target_cpu` seconds
+/// are accumulated (bounding tick-quantization error) or `max_reps` is
+/// hit. Returns (reps, cpu_secs, wall_secs). Falls back to wall time when
+/// CPU time is unavailable.
+fn measure<F: FnMut()>(
+    clock: CpuClock,
+    target_cpu: f64,
+    max_reps: u32,
+    mut work: F,
+) -> (u32, f64, f64) {
     let wall0 = Instant::now();
-    let cpu0 = cpu_time_secs();
+    let cpu0 = clock.secs();
     let mut reps = 0;
     loop {
         work();
         reps += 1;
         let wall = wall0.elapsed().as_secs_f64();
-        let cpu = match (cpu0, cpu_time_secs()) {
+        let cpu = match (cpu0, clock.secs()) {
             (Some(a), Some(b)) => b - a,
             _ => wall,
         };
@@ -198,7 +220,7 @@ pub fn bench_scheduler(quick: bool) -> MicroBench {
     let pending = 262_144;
     let ops: u64 = if quick { 200_000 } else { 2_000_000 };
     let rate = |kind: SchedulerKind| {
-        let (reps, cpu, _) = measure(0.25, if quick { 8 } else { 2 }, || {
+        let (reps, cpu, _) = measure(CpuClock::Thread, 0.25, if quick { 8 } else { 2 }, || {
             // The checksum keeps the loop from being optimized away; fold
             // it into a branch the optimizer cannot predict but that
             // never fires.
@@ -246,7 +268,10 @@ pub fn bench_one_scale(
     let (mut nodes, mut links) = (0, 0);
     let mut profile = None;
     reset_peak_rss();
-    let (reps, cpu, wall) = measure(0.25, 256, || {
+    // A sequential row is one thread's work; a sharded row's is every
+    // worker's.
+    let clock = if workers > 1 { CpuClock::Process } else { CpuClock::Thread };
+    let (reps, cpu, wall) = measure(clock, 0.25, 256, || {
         let fabric = Fabric::build(params);
         (nodes, links) = (fabric.nodes.len(), fabric.links.len());
         let mut built = build_fabric_sim_cfg(fabric, Stack::Mrmtp, seed, &[], tuning, cfg);
@@ -549,7 +574,7 @@ fn soak_one(
     alloc_track::reset();
     let mut horizon = warmup;
     let target = if quick { 0.05 } else { 0.25 };
-    let (reps, cpu, _wall) = measure(target, if quick { 4 } else { 64 }, || {
+    let (reps, cpu, _wall) = measure(CpuClock::Thread, target, if quick { 4 } else { 64 }, || {
         horizon += window;
         built.sim.run_until(horizon);
     });

@@ -526,15 +526,28 @@ pub fn chaos_bundle(
 /// Digest of everything observable about a finished run: the full frame
 /// trace plus the engine's global counters. Two runs of the same seed
 /// must produce the same digest bit-for-bit.
+///
+/// Each record contributes its `Debug` text followed by `0xff`, which is
+/// what hashing that text as a `str` feeds the hasher. SipHash's `write`
+/// is streaming, so handing it many records per call in one buffer gives
+/// the same digest as hashing them one `String` at a time.
 pub fn trace_digest(sim: &dcn_sim::Sim) -> u64 {
+    const CHUNK: usize = 4096;
     let mut h = DefaultHasher::new();
     sim.events_processed().hash(&mut h);
     sim.frames_delivered().hash(&mut h);
     sim.frames_corrupted().hash(&mut h);
     sim.frames_lost_to_impairment().hash(&mut h);
+    let mut buf = Vec::with_capacity(CHUNK + 256);
     for ev in sim.trace().events() {
-        format!("{ev:?}").hash(&mut h);
+        ev.write_debug_bytes(&mut buf);
+        buf.push(0xff);
+        if buf.len() >= CHUNK {
+            h.write(&buf);
+            buf.clear();
+        }
     }
+    h.write(&buf);
     h.finish()
 }
 
@@ -1257,5 +1270,53 @@ mod tests {
         assert_eq!(result.violations(), 0);
         let fig = campaign_summary(&cfg, &result);
         assert!(fig.render().contains("stack"));
+    }
+}
+
+/// The trace digest's streaming encoder against the definition it
+/// replaced — one `format!` of each record, hashed as a `str` — on every
+/// paper failure case for every stack and on an impaired chaos run.
+#[cfg(test)]
+mod digest_oracle {
+    use super::*;
+    use crate::runspec::RunSpec;
+    use dcn_topology::FailureCase;
+
+    fn format_digest(sim: &dcn_sim::Sim) -> u64 {
+        let mut h = DefaultHasher::new();
+        sim.events_processed().hash(&mut h);
+        sim.frames_delivered().hash(&mut h);
+        sim.frames_corrupted().hash(&mut h);
+        sim.frames_lost_to_impairment().hash(&mut h);
+        for ev in sim.trace().events() {
+            format!("{ev:?}").hash(&mut h);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn trace_digest_matches_format_definition_on_paper_cases() {
+        for stack in [Stack::Mrmtp, Stack::BgpEcmp, Stack::BgpEcmpBfd] {
+            for tc in [FailureCase::Tc1, FailureCase::Tc2, FailureCase::Tc3, FailureCase::Tc4] {
+                let (_, built) = crate::scenario::run_with_sim(
+                    RunSpec::new(ClosParams::two_pod(), stack).failing(tc),
+                );
+                assert!(!built.sim.trace().is_empty());
+                assert_eq!(
+                    trace_digest(&built.sim),
+                    format_digest(&built.sim),
+                    "{} {tc:?}",
+                    stack.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn trace_digest_matches_format_definition_under_impairment() {
+        let cfg = ChaosConfig { flaps: 3, window: 3 * SECONDS, ..ChaosConfig::default() };
+        let (run, _, built) = run_chaos_once(5, Stack::Mrmtp, &cfg, &mut None);
+        assert!(built.sim.frames_corrupted() > 0 && built.sim.frames_lost_to_impairment() > 0);
+        assert_eq!(run.digest, format_digest(&built.sim));
     }
 }

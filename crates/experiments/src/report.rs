@@ -8,9 +8,8 @@
 //! tshark-plus-router-logs measurement pipeline.
 
 use dcn_sim::NodeId;
-use dcn_topology::{ClosParams, FailureCase};
+use dcn_topology::FailureCase;
 
-use crate::fabric::Stack;
 use crate::runspec::RunSpec;
 use crate::scenario::{run_instrumented, InstrumentedRun};
 
@@ -20,16 +19,6 @@ pub struct Report {
     pub text: String,
     pub run: InstrumentedRun,
     pub spec: RunSpec,
-}
-
-/// Run `stack` through failure case `tc` on the paper's 2-PoD fabric and
-/// assemble the convergence report.
-#[deprecated(
-    since = "0.9.0",
-    note = "use build_spec(RunSpec::new(ClosParams::two_pod(), stack).failing(tc).seeded(seed))"
-)]
-pub fn build(stack: Stack, tc: FailureCase, seed: u64) -> Report {
-    build_spec(RunSpec::new(ClosParams::two_pod(), stack).failing(tc).seeded(seed))
 }
 
 /// Assemble the convergence report for a caller-built spec — the CLI
@@ -139,7 +128,9 @@ pub fn render(run: &InstrumentedRun, spec: &RunSpec) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::Stack;
     use dcn_sim::time::MILLIS;
+    use dcn_topology::ClosParams;
 
     fn build_tc(stack: Stack, tc: FailureCase, seed: u64) -> Report {
         build_spec(RunSpec::new(ClosParams::two_pod(), stack).failing(tc).seeded(seed))

@@ -9,10 +9,9 @@ use dcn_sim::{NodeId, Sim};
 use dcn_telemetry::{
     capture_dump, hists_jsonl, series_jsonl, spans_jsonl, Json, Telemetry, TraceBundle,
 };
-use dcn_topology::ClosParams;
 use dcn_traffic::{LossReport, SendSpec, TrafficHost};
 
-use crate::fabric::{build_sim_full, BuiltSim, Stack};
+use crate::fabric::{build_sim_full, BuiltSim};
 use crate::flows::pin_flow;
 use crate::runspec::RunSpec;
 
@@ -304,21 +303,12 @@ pub fn run_with_sim(spec: impl Into<RunSpec>) -> (ScenarioResult, BuiltSim) {
     run_inner(&spec.into(), &mut None)
 }
 
-/// Convenience: a quick steady-state run (no failure) for keep-alive
-/// analysis, with a shorter timeline.
-#[deprecated(
-    since = "0.9.0",
-    note = "use RunSpec::new(params, stack).seeded(seed).timed(Timing::steady()).run()"
-)]
-pub fn run_steady_state(params: ClosParams, stack: Stack, seed: u64) -> ScenarioResult {
-    RunSpec::new(params, stack).seeded(seed).timed(Timing::steady()).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::Stack;
     use dcn_telemetry::TelemetryConfig;
-    use dcn_topology::FailureCase;
+    use dcn_topology::{ClosParams, FailureCase};
 
     #[test]
     fn mrmtp_tc4_scenario_end_to_end() {

@@ -233,6 +233,198 @@ impl TraceEvent {
             | TraceEvent::Span { node, .. } => *node,
         }
     }
+
+    /// Append exactly the bytes `format!("{self:?}")` produces, without
+    /// going through `fmt`. The trace digest hashes these bytes, so they
+    /// must match the derived `Debug` output byte for byte; the matches
+    /// name every field so a new variant or field fails to compile here
+    /// until the encoder covers it.
+    pub fn write_debug_bytes(&self, out: &mut Vec<u8>) {
+        match *self {
+            TraceEvent::FrameSent { time, node, port, wire_len, capture_len, class } => {
+                out.extend_from_slice(b"FrameSent { time: ");
+                push_uint(out, time);
+                push_node(out, node);
+                push_port(out, b", port: ", port);
+                out.extend_from_slice(b", wire_len: ");
+                push_uint(out, wire_len.into());
+                out.extend_from_slice(b", capture_len: ");
+                push_uint(out, capture_len.into());
+                out.extend_from_slice(b", class: ");
+                out.extend_from_slice(match class {
+                    FrameClass::Keepalive => b"Keepalive",
+                    FrameClass::Update => b"Update",
+                    FrameClass::Session => b"Session",
+                    FrameClass::Ack => b"Ack",
+                    FrameClass::Data => b"Data",
+                });
+            }
+            TraceEvent::PortDown { time, node, port } => {
+                out.extend_from_slice(b"PortDown { time: ");
+                push_uint(out, time);
+                push_node(out, node);
+                push_port(out, b", port: ", port);
+            }
+            TraceEvent::PortUp { time, node, port } => {
+                out.extend_from_slice(b"PortUp { time: ");
+                push_uint(out, time);
+                push_node(out, node);
+                push_port(out, b", port: ", port);
+            }
+            TraceEvent::RouteChange { time, node, kind, detail } => {
+                out.extend_from_slice(b"RouteChange { time: ");
+                push_uint(out, time);
+                push_node(out, node);
+                out.extend_from_slice(match kind {
+                    RouteChangeKind::Withdraw => b", kind: Withdraw, detail: ",
+                    RouteChangeKind::Install => b", kind: Install, detail: ",
+                });
+                push_uint(out, detail);
+            }
+            TraceEvent::Proto { time, node, tag, info } => {
+                out.extend_from_slice(b"Proto { time: ");
+                push_uint(out, time);
+                push_node(out, node);
+                out.extend_from_slice(b", tag: ");
+                push_str(out, tag);
+                out.extend_from_slice(b", info: ");
+                push_uint(out, info);
+            }
+            TraceEvent::Span { time, node, span } => {
+                out.extend_from_slice(b"Span { time: ");
+                push_uint(out, time);
+                push_node(out, node);
+                out.extend_from_slice(b", span: ");
+                span.write_debug_bytes(out);
+            }
+        }
+        out.extend_from_slice(b" }");
+    }
+}
+
+impl SpanEvent {
+    /// Append exactly the bytes `format!("{self:?}")` produces (see
+    /// [`TraceEvent::write_debug_bytes`]).
+    fn write_debug_bytes(&self, out: &mut Vec<u8>) {
+        match *self {
+            SpanEvent::BgpFsm { port, from, to } => {
+                push_port(out, b"BgpFsm { port: ", port);
+                out.extend_from_slice(b", from: ");
+                push_str(out, from);
+                out.extend_from_slice(b", to: ");
+                push_str(out, to);
+            }
+            SpanEvent::BgpSessionDown { port, reason, carrier } => {
+                push_port(out, b"BgpSessionDown { port: ", port);
+                out.extend_from_slice(b", reason: ");
+                push_str(out, reason);
+                push_bool(out, b", carrier: ", carrier);
+            }
+            SpanEvent::BgpUpdateBatch { peers, prefixes } => {
+                out.extend_from_slice(b"BgpUpdateBatch { peers: ");
+                push_uint(out, peers.into());
+                out.extend_from_slice(b", prefixes: ");
+                push_uint(out, prefixes.into());
+            }
+            SpanEvent::NeighborDown { port, carrier } => {
+                push_port(out, b"NeighborDown { port: ", port);
+                push_bool(out, b", carrier: ", carrier);
+            }
+            SpanEvent::NeighborUp { port } => push_port(out, b"NeighborUp { port: ", port),
+            SpanEvent::VidInstall { root, port } => {
+                out.extend_from_slice(b"VidInstall { root: ");
+                push_uint(out, root.into());
+                push_port(out, b", port: ", port);
+            }
+            SpanEvent::VidRemove { root, port } => {
+                out.extend_from_slice(b"VidRemove { root: ");
+                push_uint(out, root.into());
+                push_port(out, b", port: ", port);
+            }
+            SpanEvent::LossFlood { roots, fanout, lost } => {
+                out.extend_from_slice(b"LossFlood { roots: ");
+                push_uint(out, roots.into());
+                out.extend_from_slice(b", fanout: ");
+                push_uint(out, fanout.into());
+                push_bool(out, b", lost: ", lost);
+            }
+            // The only unit variant: no braces to close.
+            SpanEvent::HolddownArm => return out.extend_from_slice(b"HolddownArm"),
+            SpanEvent::HolddownResolve { negatives, totals } => {
+                out.extend_from_slice(b"HolddownResolve { negatives: ");
+                push_uint(out, negatives.into());
+                out.extend_from_slice(b", totals: ");
+                push_uint(out, totals.into());
+            }
+            SpanEvent::UpperLossTotal { root } => {
+                out.extend_from_slice(b"UpperLossTotal { root: ");
+                push_uint(out, root.into());
+            }
+            SpanEvent::LocalRepair { port } => push_port(out, b"LocalRepair { port: ", port),
+        }
+        out.extend_from_slice(b" }");
+    }
+}
+
+/// `v` in decimal, as `{v:?}` writes an unsigned integer. Two digits per
+/// division: trace times run to ten or more digits.
+fn push_uint(out: &mut Vec<u8>, mut v: u64) {
+    const PAIRS: [[u8; 2]; 100] = {
+        let mut t = [[0; 2]; 100];
+        let mut i = 0;
+        while i < 100 {
+            t[i] = [b'0' + (i / 10) as u8, b'0' + (i % 10) as u8];
+            i += 1;
+        }
+        t
+    };
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    while v >= 100 {
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&PAIRS[(v % 100) as usize]);
+        v /= 100;
+    }
+    if v >= 10 {
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&PAIRS[v as usize]);
+    } else {
+        i -= 1;
+        digits[i] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// The `node` field every [`TraceEvent`] carries right after `time`.
+fn push_node(out: &mut Vec<u8>, node: NodeId) {
+    out.extend_from_slice(b", node: NodeId(");
+    push_uint(out, node.0.into());
+    out.push(b')');
+}
+
+fn push_port(out: &mut Vec<u8>, prefix: &[u8], port: PortId) {
+    out.extend_from_slice(prefix);
+    out.extend_from_slice(b"PortId(");
+    push_uint(out, port.0.into());
+    out.push(b')');
+}
+
+fn push_bool(out: &mut Vec<u8>, prefix: &[u8], v: bool) {
+    out.extend_from_slice(prefix);
+    out.extend_from_slice(if v { b"true" } else { b"false" });
+}
+
+/// `s` quoted as `{s:?}` writes it. Printable ASCII other than `"` and
+/// `\` is copied as is; anything else takes the formatter's escaping.
+fn push_str(out: &mut Vec<u8>, s: &str) {
+    if s.bytes().all(|b| matches!(b, b' '..=b'~') && b != b'"' && b != b'\\') {
+        out.push(b'"');
+        out.extend_from_slice(s.as_bytes());
+        out.push(b'"');
+    } else {
+        use std::io::Write;
+        write!(out, "{s:?}").expect("writing to a Vec cannot fail");
+    }
 }
 
 /// An append-only log of [`TraceEvent`]s for one simulation run.
@@ -363,6 +555,73 @@ mod tests {
         assert_eq!(hold.kind(), "bgp_session_down");
         assert!(hold.is_state_change());
         assert!(!SpanEvent::BgpUpdateBatch { peers: 1, prefixes: 1 }.is_state_change());
+    }
+
+    /// Every span variant, with integer fields at 0 and at their maximum
+    /// and bools both ways.
+    fn all_spans() -> Vec<SpanEvent> {
+        let mut spans = vec![SpanEvent::HolddownArm];
+        for (n, p, b) in [(0u8, PortId(0), false), (u8::MAX, PortId(u16::MAX), true)] {
+            spans.extend([
+                SpanEvent::BgpFsm { port: p, from: "Idle", to: "Established" },
+                SpanEvent::BgpSessionDown { port: p, reason: "bgp_hold_expired", carrier: b },
+                SpanEvent::BgpUpdateBatch { peers: n, prefixes: n },
+                SpanEvent::NeighborDown { port: p, carrier: b },
+                SpanEvent::NeighborUp { port: p },
+                SpanEvent::VidInstall { root: n, port: p },
+                SpanEvent::VidRemove { root: n, port: p },
+                SpanEvent::LossFlood { roots: n, fanout: n, lost: b },
+                SpanEvent::HolddownResolve { negatives: n, totals: n },
+                SpanEvent::UpperLossTotal { root: n },
+                SpanEvent::LocalRepair { port: p },
+            ]);
+        }
+        spans
+    }
+
+    #[test]
+    fn debug_bytes_match_derived_debug() {
+        let mut events = Vec::new();
+        for (t, n, p, w, x) in [
+            (0, NodeId(0), PortId(0), 0u32, 0u64),
+            (Time::MAX, NodeId(u32::MAX), PortId(u16::MAX), u32::MAX, u64::MAX),
+            (1_234_567, NodeId(42), PortId(7), 60, 9_000_000_001),
+        ] {
+            for class in FrameClass::ALL {
+                events.push(TraceEvent::FrameSent {
+                    time: t,
+                    node: n,
+                    port: p,
+                    wire_len: w,
+                    capture_len: w,
+                    class,
+                });
+            }
+            events.push(TraceEvent::PortDown { time: t, node: n, port: p });
+            events.push(TraceEvent::PortUp { time: t, node: n, port: p });
+            for kind in [RouteChangeKind::Withdraw, RouteChangeKind::Install] {
+                events.push(TraceEvent::RouteChange { time: t, node: n, kind, detail: x });
+            }
+            // Plain tags take the direct path; the rest exercise every
+            // escape the fallback must reproduce.
+            for tag in ["", "mrmtp_hello", "say \"hi\"", "back\\slash", "line\nbreak", "µs", "\u{7f}'"] {
+                events.push(TraceEvent::Proto { time: t, node: n, tag, info: x });
+            }
+            for span in all_spans() {
+                events.push(TraceEvent::Span { time: t, node: n, span });
+            }
+        }
+        let mut out = Vec::new();
+        for ev in &events {
+            out.clear();
+            ev.write_debug_bytes(&mut out);
+            assert_eq!(String::from_utf8(out.clone()).unwrap(), format!("{ev:?}"));
+        }
+        for span in all_spans() {
+            out.clear();
+            span.write_debug_bytes(&mut out);
+            assert_eq!(String::from_utf8(out.clone()).unwrap(), format!("{span:?}"));
+        }
     }
 
     #[cfg(debug_assertions)]
