@@ -4,25 +4,19 @@
 //!
 //! * **Scale sweep** — build a folded-Clos fabric at each requested PoD
 //!   count, run it with tracing off, and record events processed, wall
-//!   time, throughput (events/sec and events/sec/node) and peak RSS —
-//!   plus, at 16+ PoDs, the same fabric on the sharded parallel engine
-//!   at each requested worker count, with the parallel-over-sequential
-//!   speedup. Every row reports throughput on **both bases** —
-//!   `events_per_sec_wall` (elapsed time; what a parallel engine is
-//!   for) and `events_per_sec_cpu` (CPU seconds summed over threads;
-//!   insensitive to machine-sharing noise) — and `speedup` is always
-//!   wall-over-wall. Earlier schemas mixed the bases within one column
-//!   (sequential rows CPU, parallel rows wall), which made parallel
-//!   rows incomparable with their own speedup basis. Every row runs
-//!   with the engine profiler on and embeds its stall breakdown
-//!   (execute/barrier/drain/deposit/other as % of wall), so a bad
-//!   speedup is attributable at a glance. Emitted as `BENCH_scale.json`
-//!   (`schema: "bench_scale/v4"`, which also records the host's core
-//!   count so single-core runs are not misread as parallel regressions;
-//!   v2/v3 baselines still gate — [`check_regression`] keys on field
-//!   names, not the schema string). Peak RSS is sampled per row: the
-//!   kernel's VmHWM watermark is reset before each row, so a big fabric
-//!   earlier in the sweep cannot inflate a small one's number.
+//!   time, throughput (events/sec and events/sec/node) and peak RSS.
+//!   Every row reports throughput on **both bases** —
+//!   `events_per_sec_wall` (elapsed time) and `events_per_sec_cpu` (the
+//!   calling thread's CPU seconds; insensitive to machine-sharing
+//!   noise). Every row runs with the engine profiler on and embeds its
+//!   execute/other breakdown (% of the engine's wall time). Emitted as
+//!   `BENCH_scale.json` (`schema: "bench_scale/v5"`, which also records
+//!   the host's core count; v5 dropped the parallel engine's `workers`,
+//!   `speedup` and barrier/drain/deposit columns, and older baselines
+//!   still gate — [`check_regression`] keys on field names, not the
+//!   schema string). Peak RSS is sampled per row: the kernel's VmHWM
+//!   watermark is reset before each row, so a big fabric earlier in the
+//!   sweep cannot inflate a small one's number.
 //! * **Scheduler microbench** — the pop-then-re-arm stress loop from
 //!   `dcn_sim::scheduler_stress`, run on both backends, reported as a
 //!   wheel-over-heap speedup.
@@ -56,52 +50,35 @@ use dcn_traffic::SendSpec;
 use crate::fabric::{build_fabric_sim_cfg, BuiltSim, Stack, StackTuning};
 use crate::scenario::Timing;
 
-/// One (fabric size × worker count) point in the scale sweep.
+/// One fabric size in the scale sweep.
 #[derive(Clone, Debug)]
 pub struct ScalePoint {
     pub pods: usize,
     pub nodes: usize,
     pub links: usize,
-    /// Engine worker threads (1 = the sequential reference engine).
-    pub workers: usize,
     /// Events processed by the engine over the measured window.
     pub events: u64,
     pub wall_ms: f64,
-    /// Events per elapsed second — the basis that parallelism can
-    /// improve, and the numerator/denominator of every `speedup`.
+    /// Events per elapsed second.
     pub events_per_sec_wall: f64,
-    /// Events per CPU second summed over worker threads — insensitive
-    /// to machine-sharing noise, so the regression gate keys on it. On
-    /// the sequential engine the two bases coincide (modulo scheduler
-    /// noise); a perfectly-scaling parallel run burns the same CPU
-    /// seconds as the sequential one while the wall rate multiplies.
+    /// Events per CPU second of the measuring thread — insensitive to
+    /// machine-sharing noise, so the regression gate keys on it. The two
+    /// bases coincide when the thread is never descheduled.
     pub events_per_sec_cpu: f64,
-    /// CPU-basis throughput normalized by fabric size. A droop here at
-    /// fixed workers as pods grow is a cache-locality signal; a droop
-    /// in the raw rate alone can just be a bigger fabric.
+    /// CPU-basis throughput normalized by fabric size. A droop here as
+    /// pods grow is a cache-locality signal; a droop in the raw rate
+    /// alone can just be a bigger fabric.
     pub events_per_node: f64,
     /// Peak resident set (VmHWM) over this row only, in KiB: the
     /// watermark is reset (via `/proc/self/clear_refs`) before each row.
     /// Zero on platforms without the proc filesystem; on kernels that
     /// refuse the reset it degrades to the process-lifetime peak.
     pub peak_rss_kb: u64,
-    /// `events_per_sec_wall` over the same fabric's 1-worker wall rate
-    /// (1.0 for the 1-worker row itself) — wall-over-wall, never mixed
-    /// bases. Only meaningful when `cores` in the report exceeds the
-    /// worker count — on a single-core host the sharded engine can only
-    /// show its overhead.
-    pub speedup: f64,
-    /// Barrier windows executed in one rep (engine profiler).
+    /// Profiler windows (`run_until` spans) executed in one rep.
     pub windows: u64,
-    /// Stall breakdown of one rep, as % of per-shard wall time summed
-    /// over shards: event execution...
+    /// Breakdown of one rep, as % of the engine's wall time: event
+    /// execution...
     pub execute_pct: f64,
-    /// ...blocked on the window barriers...
-    pub barrier_pct: f64,
-    /// ...draining cross-shard inboxes...
-    pub drain_pct: f64,
-    /// ...depositing outboxes...
-    pub deposit_pct: f64,
     /// ...and unattributed loop overhead.
     pub other_pct: f64,
 }
@@ -122,9 +99,7 @@ pub struct BenchReport {
     /// True when run with `--quick` (shorter windows; CI smoke mode).
     pub quick: bool,
     /// CPU cores available to this process when the report was taken
-    /// (`std::thread::available_parallelism`). Parallel speedups are
-    /// bounded by this; a 1-core report documents that its multi-worker
-    /// rows measure engine overhead, not attainable speedup.
+    /// (`std::thread::available_parallelism`).
     pub cores: usize,
     pub micro: MicroBench,
     pub scale: Vec<ScalePoint>,
@@ -151,57 +126,37 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Whose CPU time a measurement is taken against.
-#[derive(Clone, Copy)]
-enum CpuClock {
-    /// The calling thread only: right for single-threaded work, and
-    /// immune to whatever else the process runs concurrently (other test
-    /// threads, a second campaign worker).
-    Thread,
-    /// The whole process: what a sharded run's worker threads add up to.
-    Process,
+/// CPU seconds the calling thread has consumed so far (utime+stime from
+/// `/proc/thread-self/stat`, USER_HZ ticks — 100 Hz on every mainstream
+/// Linux). `None` off-Linux. Throughput is computed against CPU time,
+/// not wall time: shared or quota-throttled machines (CI runners,
+/// containers) stall a process for whole scheduling periods, and a
+/// wall-clock gate trips on that noise rather than on real regressions.
+/// The thread's own clock is immune to whatever else the process runs
+/// concurrently (other test threads, a second campaign worker).
+fn thread_cpu_secs() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    // comm (field 2) may contain spaces; fields resume after the last ')'.
+    let rest = &stat[stat.rfind(')')? + 2..];
+    let mut it = rest.split_whitespace();
+    let utime: u64 = it.nth(11)?.parse().ok()?; // field 14
+    let stime: u64 = it.next()?.parse().ok()?; // field 15
+    Some((utime + stime) as f64 / 100.0)
 }
 
-impl CpuClock {
-    /// CPU seconds consumed so far (utime+stime from `/proc/thread-self/stat`
-    /// or `/proc/self/stat`, USER_HZ ticks — 100 Hz on every mainstream
-    /// Linux). `None` off-Linux. Throughput is computed against CPU time,
-    /// not wall time: shared or quota-throttled machines (CI runners,
-    /// containers) stall a process for whole scheduling periods, and a
-    /// wall-clock gate trips on that noise rather than on real regressions.
-    fn secs(self) -> Option<f64> {
-        let path = match self {
-            CpuClock::Thread => "/proc/thread-self/stat",
-            CpuClock::Process => "/proc/self/stat",
-        };
-        let stat = std::fs::read_to_string(path).ok()?;
-        // comm (field 2) may contain spaces; fields resume after the last ')'.
-        let rest = &stat[stat.rfind(')')? + 2..];
-        let mut it = rest.split_whitespace();
-        let utime: u64 = it.nth(11)?.parse().ok()?; // field 14
-        let stime: u64 = it.next()?.parse().ok()?; // field 15
-        Some((utime + stime) as f64 / 100.0)
-    }
-}
-
-/// Measure `work` by `clock`'s CPU time: repeat until `target_cpu` seconds
-/// are accumulated (bounding tick-quantization error) or `max_reps` is
-/// hit. Returns (reps, cpu_secs, wall_secs). Falls back to wall time when
-/// CPU time is unavailable.
-fn measure<F: FnMut()>(
-    clock: CpuClock,
-    target_cpu: f64,
-    max_reps: u32,
-    mut work: F,
-) -> (u32, f64, f64) {
+/// Measure `work` by the calling thread's CPU time: repeat until
+/// `target_cpu` seconds are accumulated (bounding tick-quantization
+/// error) or `max_reps` is hit. Returns (reps, cpu_secs, wall_secs).
+/// Falls back to wall time when CPU time is unavailable.
+fn measure<F: FnMut()>(target_cpu: f64, max_reps: u32, mut work: F) -> (u32, f64, f64) {
     let wall0 = Instant::now();
-    let cpu0 = clock.secs();
+    let cpu0 = thread_cpu_secs();
     let mut reps = 0;
     loop {
         work();
         reps += 1;
         let wall = wall0.elapsed().as_secs_f64();
-        let cpu = match (cpu0, clock.secs()) {
+        let cpu = match (cpu0, thread_cpu_secs()) {
             (Some(a), Some(b)) => b - a,
             _ => wall,
         };
@@ -220,7 +175,7 @@ pub fn bench_scheduler(quick: bool) -> MicroBench {
     let pending = 262_144;
     let ops: u64 = if quick { 200_000 } else { 2_000_000 };
     let rate = |kind: SchedulerKind| {
-        let (reps, cpu, _) = measure(CpuClock::Thread, 0.25, if quick { 8 } else { 2 }, || {
+        let (reps, cpu, _) = measure(0.25, if quick { 8 } else { 2 }, || {
             // The checksum keeps the loop from being optimized away; fold
             // it into a branch the optimizer cannot predict but that
             // never fires.
@@ -246,12 +201,7 @@ pub fn bench_scheduler(quick: bool) -> MicroBench {
 /// single quick window is milliseconds long, well inside OS-jitter
 /// territory). Fabric/sim construction inside the measured window biases
 /// the rate slightly low, identically for baseline and current.
-pub fn bench_one_scale(
-    pods: usize,
-    workers: usize,
-    quick: bool,
-    seed: u64,
-) -> Result<ScalePoint, String> {
+pub fn bench_one_scale(pods: usize, quick: bool, seed: u64) -> Result<ScalePoint, String> {
     let params = ClosParams::scaled(pods)?;
     // Warmup covers cold start → converged fabric; the full run measures a
     // longer steady-state window dominated by keepalive traffic.
@@ -259,19 +209,15 @@ pub fn bench_one_scale(
     let horizon = if quick { warmup } else { warmup * 3 };
     let cfg = SimConfig { trace: false, ..SimConfig::default() };
     // Every row runs with the engine profiler on so the report can embed
-    // its stall breakdown. Profiling reads only the host clock and bumps
-    // pre-sized counters; its overhead is identical for baseline and
-    // current, so the regression gate is unaffected.
-    let tuning =
-        StackTuning { workers: workers.max(1), profile: true, ..StackTuning::default() };
+    // its execute/other breakdown. Profiling reads only the host clock
+    // and bumps pre-sized counters; its overhead is identical for
+    // baseline and current, so the regression gate is unaffected.
+    let tuning = StackTuning { profile: true, ..StackTuning::default() };
     let mut events = 0;
     let (mut nodes, mut links) = (0, 0);
     let mut profile = None;
     reset_peak_rss();
-    // A sequential row is one thread's work; a sharded row's is every
-    // worker's.
-    let clock = if workers > 1 { CpuClock::Process } else { CpuClock::Thread };
-    let (reps, cpu, wall) = measure(clock, 0.25, 256, || {
+    let (reps, cpu, wall) = measure(0.25, 256, || {
         let fabric = Fabric::build(params);
         (nodes, links) = (fabric.nodes.len(), fabric.links.len());
         let mut built = build_fabric_sim_cfg(fabric, Stack::Mrmtp, seed, &[], tuning, cfg);
@@ -279,16 +225,12 @@ pub fn bench_one_scale(
         events = built.sim.events_processed();
         profile = built.sim.take_profile();
     });
-    // The stall breakdown of the last rep (reps are identical work).
+    // The breakdown of the last rep (reps are identical work).
     let profile = profile.expect("profiling was enabled");
     let breakdown = dcn_telemetry::stall_breakdown_of(&profile);
     let windows = profile.shards.iter().map(|s| s.windows_total).sum();
-    // Both bases, every row: wall for speedups (the thing parallelism
-    // buys), CPU for the regression gate (insensitive to machine
-    // sharing). Earlier versions picked one basis per row — CPU for
-    // sequential, wall for parallel — which made a parallel row's
-    // throughput incomparable with the sequential rate its own speedup
-    // divided by.
+    // Both bases, every row: CPU for the regression gate (insensitive to
+    // machine sharing), wall for what a user waits.
     let total = (reps as u64 * events) as f64;
     let events_per_sec_wall = total / wall.max(1e-9);
     let events_per_sec_cpu = total / cpu;
@@ -296,19 +238,14 @@ pub fn bench_one_scale(
         pods,
         nodes,
         links,
-        workers: workers.max(1),
         events,
         wall_ms: wall / reps as f64 * 1e3,
         events_per_sec_wall,
         events_per_sec_cpu,
         events_per_node: events_per_sec_cpu / nodes.max(1) as f64,
         peak_rss_kb: peak_rss_kb(),
-        speedup: 1.0, // filled in by `run_bench` against the 1-worker row
         windows,
         execute_pct: breakdown.execute_pct,
-        barrier_pct: breakdown.barrier_pct,
-        drain_pct: breakdown.drain_pct,
-        deposit_pct: breakdown.deposit_pct,
         other_pct: breakdown.other_pct,
     })
 }
@@ -319,7 +256,6 @@ pub fn bench_one_scale(
 /// writes so a suspicious row can be opened in Perfetto.
 pub fn profile_scale_run(
     pods: usize,
-    workers: usize,
     quick: bool,
     seed: u64,
 ) -> Result<dcn_telemetry::PerfReport, String> {
@@ -327,46 +263,25 @@ pub fn profile_scale_run(
     let warmup = Timing::default().warmup;
     let horizon = if quick { warmup } else { warmup * 3 };
     let cfg = SimConfig { trace: false, ..SimConfig::default() };
-    let tuning =
-        StackTuning { workers: workers.max(1), profile: true, ..StackTuning::default() };
+    let tuning = StackTuning { profile: true, ..StackTuning::default() };
     let fabric = Fabric::build(params);
     let mut built = build_fabric_sim_cfg(fabric, Stack::Mrmtp, seed, &[], tuning, cfg);
     built.sim.run_until(horizon);
     let profile = built.sim.take_profile().expect("profiling was enabled");
     let names = crate::profile::node_names(&built.sim);
     let label = format!("bench scale {pods} pods seed {seed}");
-    Ok(dcn_telemetry::PerfReport::new(profile, label, workers.max(1), names))
+    Ok(dcn_telemetry::PerfReport::new(profile, label, names))
 }
 
-/// The PoD size from which worker sweeps run: below this the fabric is
-/// too small for sharding to be anything but overhead.
-pub const WORKER_SWEEP_MIN_PODS: usize = 16;
-
-/// Run the whole benchmark: a sweep over `pods` — with each worker count
-/// from `workers` added at [`WORKER_SWEEP_MIN_PODS`]+ PoDs — plus the
-/// microbench. The sweep runs first: the microbench saturates the CPU
-/// for a second or more, and on throttled/shared machines that
-/// depresses whatever is measured right after it.
-pub fn run_bench(
-    pods: &[usize],
-    workers: &[usize],
-    quick: bool,
-    seed: u64,
-) -> Result<BenchReport, String> {
-    let mut scale = Vec::with_capacity(pods.len());
-    for &p in pods {
-        let base = bench_one_scale(p, 1, quick, seed)?;
-        // Wall-over-wall: the sequential row's wall rate is the basis.
-        let base_rate = base.events_per_sec_wall;
-        scale.push(base);
-        if p >= WORKER_SWEEP_MIN_PODS {
-            for &w in workers.iter().filter(|&&w| w > 1) {
-                let mut point = bench_one_scale(p, w, quick, seed)?;
-                point.speedup = point.events_per_sec_wall / base_rate;
-                scale.push(point);
-            }
-        }
-    }
+/// Run the whole benchmark: a sweep over `pods` plus the microbench.
+/// The sweep runs first: the microbench saturates the CPU for a second
+/// or more, and on throttled/shared machines that depresses whatever is
+/// measured right after it.
+pub fn run_bench(pods: &[usize], quick: bool, seed: u64) -> Result<BenchReport, String> {
+    let scale = pods
+        .iter()
+        .map(|&p| bench_one_scale(p, quick, seed))
+        .collect::<Result<Vec<_>, _>>()?;
     let micro = bench_scheduler(quick);
     Ok(BenchReport {
         quick,
@@ -378,14 +293,14 @@ pub fn run_bench(
 
 impl BenchReport {
     /// Serialize to the committed `BENCH_scale.json` schema
-    /// (`bench_scale/v4`; see EXPERIMENTS.md). v4 reports both
-    /// throughput bases per row; the legacy `events_per_sec` key is
-    /// kept as an alias of the CPU basis so older tooling and v2/v3
-    /// baselines still gate — [`check_regression`] reads fields by name
-    /// and ignores the schema string.
+    /// (`bench_scale/v5`; see EXPERIMENTS.md). Rows report both
+    /// throughput bases; the legacy `events_per_sec` key is kept as an
+    /// alias of the CPU basis so older tooling and v2/v3 baselines still
+    /// gate — [`check_regression`] reads fields by name and ignores the
+    /// schema string.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("schema", Json::str("bench_scale/v4")),
+            ("schema", Json::str("bench_scale/v5")),
             ("quick", Json::Bool(self.quick)),
             ("cores", Json::UInt(self.cores as u64)),
             (
@@ -408,7 +323,6 @@ impl BenchReport {
                                 ("pods", Json::UInt(p.pods as u64)),
                                 ("nodes", Json::UInt(p.nodes as u64)),
                                 ("links", Json::UInt(p.links as u64)),
-                                ("workers", Json::UInt(p.workers as u64)),
                                 ("events", Json::UInt(p.events)),
                                 ("wall_ms", Json::Float(p.wall_ms)),
                                 ("events_per_sec_wall", Json::Float(p.events_per_sec_wall)),
@@ -417,12 +331,8 @@ impl BenchReport {
                                 ("events_per_sec", Json::Float(p.events_per_sec_cpu)),
                                 ("events_per_node", Json::Float(p.events_per_node)),
                                 ("peak_rss_kb", Json::UInt(p.peak_rss_kb)),
-                                ("speedup", Json::Float(p.speedup)),
                                 ("windows", Json::UInt(p.windows)),
                                 ("execute_pct", Json::Float(p.execute_pct)),
-                                ("barrier_pct", Json::Float(p.barrier_pct)),
-                                ("drain_pct", Json::Float(p.drain_pct)),
-                                ("deposit_pct", Json::Float(p.deposit_pct)),
                                 ("other_pct", Json::Float(p.other_pct)),
                             ])
                         })
@@ -442,25 +352,22 @@ impl BenchReport {
         ));
         out.push_str(&format!("host cores: {}\n", self.cores));
         out.push_str(
-            "pods  nodes  links  wrk      events   wall_ms  ev/s(wall)   ev/s(cpu)  ev/s/node  peak_rss_kb  speedup  exec%  barr%  other%\n",
+            "pods  nodes  links      events   wall_ms  ev/s(wall)   ev/s(cpu)  ev/s/node  peak_rss_kb  exec%  other%\n",
         );
         for p in &self.scale {
             out.push_str(&format!(
-                "{:>4}  {:>5}  {:>5}  {:>3}  {:>10}  {:>8.1}  {:>10.0}  {:>10.0}  {:>9.0}  {:>11}  {:>6.2}x  {:>5.1}  {:>5.1}  {:>6.1}\n",
+                "{:>4}  {:>5}  {:>5}  {:>10}  {:>8.1}  {:>10.0}  {:>10.0}  {:>9.0}  {:>11}  {:>5.1}  {:>6.1}\n",
                 p.pods,
                 p.nodes,
                 p.links,
-                p.workers,
                 p.events,
                 p.wall_ms,
                 p.events_per_sec_wall,
                 p.events_per_sec_cpu,
                 p.events_per_node,
                 p.peak_rss_kb,
-                p.speedup,
                 p.execute_pct,
-                p.barrier_pct,
-                p.drain_pct + p.deposit_pct + p.other_pct,
+                p.other_pct,
             ));
         }
         out
@@ -574,7 +481,7 @@ fn soak_one(
     alloc_track::reset();
     let mut horizon = warmup;
     let target = if quick { 0.05 } else { 0.25 };
-    let (reps, cpu, _wall) = measure(CpuClock::Thread, target, if quick { 4 } else { 64 }, || {
+    let (reps, cpu, _wall) = measure(target, if quick { 4 } else { 64 }, || {
         horizon += window;
         built.sim.run_until(horizon);
     });
@@ -848,14 +755,12 @@ pub fn check_traffic_regression(
 }
 
 /// Compare a fresh report against a committed baseline (`BENCH_scale.json`
-/// contents). Fails if CPU-basis events/sec at any matching (PoD count,
-/// workers) row dropped by more than `tolerance` (0.20 = 20%) —
-/// parallel rows gate exactly like sequential ones — or the scheduler
+/// contents). Fails if CPU-basis events/sec at any matching PoD count
+/// dropped by more than `tolerance` (0.20 = 20%) or the scheduler
 /// microbench speedup fell below 1.0. Rows present on only one side are
-/// skipped — the sweep list may grow over time. Baseline rows without a
-/// `workers` field (the v1 schema) are treated as sequential
-/// (workers = 1); baselines without `events_per_sec_cpu` (pre-v4) gate
-/// through their legacy `events_per_sec` column.
+/// skipped — the sweep list may grow over time. Baselines without
+/// `events_per_sec_cpu` (pre-v4) gate through their legacy
+/// `events_per_sec` column.
 pub fn check_regression(current: &BenchReport, baseline_json: &str, tolerance: f64) -> Result<(), String> {
     let base = Json::parse(baseline_json).map_err(|e| format!("baseline parse error: {e}"))?;
     let scale = base
@@ -865,7 +770,6 @@ pub fn check_regression(current: &BenchReport, baseline_json: &str, tolerance: f
     for point in &current.scale {
         let Some(b) = scale.iter().find(|b| {
             b.get("pods").and_then(|p| p.as_u64()) == Some(point.pods as u64)
-                && b.get("workers").and_then(|w| w.as_u64()).unwrap_or(1) == point.workers as u64
         }) else {
             continue;
         };
@@ -876,9 +780,8 @@ pub fn check_regression(current: &BenchReport, baseline_json: &str, tolerance: f
             .ok_or_else(|| format!("baseline {} pods missing events_per_sec", point.pods))?;
         if point.events_per_sec_cpu < base_eps * (1.0 - tolerance) {
             return Err(format!(
-                "regression at {} pods / {} workers: {:.0} events/sec (cpu) vs baseline {:.0} (>{:.0}% drop)",
+                "regression at {} pods: {:.0} events/sec (cpu) vs baseline {:.0} (>{:.0}% drop)",
                 point.pods,
-                point.workers,
                 point.events_per_sec_cpu,
                 base_eps,
                 tolerance * 100.0,
@@ -900,44 +803,39 @@ mod tests {
 
     #[test]
     fn quick_bench_produces_sane_report() {
-        let report = run_bench(&[2], &[], true, 7).expect("2-pod bench runs");
+        let report = run_bench(&[2], true, 7).expect("2-pod bench runs");
         assert!(report.quick);
         assert!(report.cores >= 1);
         assert_eq!(report.scale.len(), 1);
         let p = &report.scale[0];
         assert_eq!(p.pods, 2);
-        assert_eq!(p.workers, 1);
         assert!(p.nodes > 0 && p.links > 0);
         assert!(p.events > 0, "engine processed no events");
         assert!(p.events_per_sec_wall > 0.0);
         assert!(p.events_per_sec_cpu > 0.0);
         assert!(p.events_per_node > 0.0);
-        // CPU seconds can't exceed wall on a sequential row, so the wall
-        // rate can't exceed the CPU rate (equal when never descheduled)
+        // The thread's CPU seconds can't exceed wall, so the wall rate can't exceed the CPU rate (equal when never descheduled)
         // — modulo the 10ms USER_HZ tick quantization of /proc readings,
         // worth a few percent over a ~0.25s measured window.
         assert!(p.events_per_sec_wall <= p.events_per_sec_cpu * 1.10);
-        assert_eq!(p.speedup, 1.0, "the sequential row is its own speedup basis");
         assert!(report.micro.heap_events_per_sec > 0.0);
         assert!(report.micro.wheel_events_per_sec > 0.0);
 
-        // Every row carries its embedded stall breakdown.
+        // Every row carries its embedded breakdown.
         assert!(p.windows > 0, "profiler saw no windows");
-        let total =
-            p.execute_pct + p.barrier_pct + p.drain_pct + p.deposit_pct + p.other_pct;
+        let total = p.execute_pct + p.other_pct;
         assert!((total - 100.0).abs() < 5.0, "breakdown covers the wall: {total}");
 
         // JSON round-trips through the schema.
         let rendered = report.to_json().render();
         let parsed = Json::parse(&rendered).expect("self-rendered JSON parses");
-        assert_eq!(parsed.get("schema").and_then(|s| s.as_str()), Some("bench_scale/v4"));
+        assert_eq!(parsed.get("schema").and_then(|s| s.as_str()), Some("bench_scale/v5"));
         assert!(parsed.get("cores").and_then(|c| c.as_u64()).is_some());
         assert_eq!(
             parsed.get("scale").and_then(|s| s.as_arr()).map(|a| a.len()),
             Some(1)
         );
         let row = &parsed.get("scale").and_then(|s| s.as_arr()).unwrap()[0];
-        assert_eq!(row.get("workers").and_then(|w| w.as_u64()), Some(1));
         assert!(row.get("events_per_sec_wall").and_then(|v| v.as_f64()).is_some());
         assert!(row.get("events_per_sec_cpu").and_then(|v| v.as_f64()).is_some());
         // The legacy key aliases the CPU basis for pre-v4 readers.
@@ -946,8 +844,7 @@ mod tests {
             row.get("events_per_sec_cpu").and_then(|v| v.as_f64()),
         );
         assert!(row.get("events_per_node").and_then(|v| v.as_f64()).is_some());
-        assert!(row.get("speedup").and_then(|v| v.as_f64()).is_some());
-        assert!(row.get("barrier_pct").and_then(|v| v.as_f64()).is_some());
+        assert!(row.get("execute_pct").and_then(|v| v.as_f64()).is_some());
 
         // A report never regresses against itself...
         check_regression(&report, &rendered, 0.20).expect("self-baseline passes");
@@ -956,8 +853,8 @@ mod tests {
         // columns, old schema string) still gates through the legacy
         // `events_per_sec` key: the checker keys on field names only.
         let v2 = rendered
-            .replace("bench_scale/v4", "bench_scale/v2")
-            .replace("\"barrier_pct\"", "\"barrier_pct_v2_absent\"")
+            .replace("bench_scale/v5", "bench_scale/v2")
+            .replace("\"execute_pct\"", "\"execute_pct_v2_absent\"")
             .replace("\"events_per_sec_wall\"", "\"events_per_sec_wall_v2_absent\"")
             .replace("\"events_per_sec_cpu\"", "\"events_per_sec_cpu_v2_absent\"");
         check_regression(&report, &v2, 0.20).expect("v2 baseline still gates");
@@ -971,36 +868,7 @@ mod tests {
 
     #[test]
     fn odd_pod_count_is_rejected() {
-        assert!(run_bench(&[3], &[], true, 7).is_err());
-    }
-
-    #[test]
-    fn worker_sweep_rows_carry_speedup_and_gate_like_sequential_ones() {
-        // A 2-pod fabric is below WORKER_SWEEP_MIN_PODS, so the sweep
-        // must be skipped; force a parallel row through bench_one_scale
-        // directly and check the regression gate keys on (pods, workers).
-        let small = run_bench(&[2], &[2, 4], true, 7).expect("2-pod bench runs");
-        assert_eq!(small.scale.len(), 1, "worker sweep must skip small fabrics");
-
-        let mut report = small.clone();
-        let mut par = bench_one_scale(2, 2, true, 7).expect("parallel row runs");
-        par.speedup = par.events_per_sec_wall / report.scale[0].events_per_sec_wall;
-        report.scale.push(par);
-        let rendered = report.to_json().render();
-        check_regression(&report, &rendered, 0.20).expect("self-baseline passes");
-
-        // Inflate only the parallel baseline row: the gate must trip on
-        // it even though the sequential row is untouched.
-        let mut inflated = report.clone();
-        inflated.scale[1].events_per_sec_cpu *= 10.0;
-        let err = check_regression(&report, &inflated.to_json().render(), 0.20)
-            .expect_err("inflated parallel baseline must trip the gate");
-        assert!(err.contains("2 workers"), "gate should name the parallel row: {err}");
-
-        // A v1-style baseline (no workers field) only gates sequential
-        // rows; the parallel row is skipped rather than mismatched.
-        let v1 = rendered.replace("\"workers\"", "\"workers_v1_absent\"");
-        check_regression(&report, &v1, 0.20).expect("v1 baseline gates the sequential row only");
+        assert!(run_bench(&[3], true, 7).is_err());
     }
 
     #[test]

@@ -279,13 +279,15 @@ pub fn run_one(rs: RunSpec, profile: bool) -> RunRecord {
         .map(|_| dcn_metrics::storyboard::build(built.sim.trace(), rs.timing.failure_at()))
         .and_then(|sb| sb.phases)
         .map(|p| (p.detection_ms, p.propagation_ms, p.quiescence_ms));
+    // The store keeps its five stall fields; the engine has no barrier,
+    // drain or deposit phases, so those are always zero.
     let stall = built.sim.take_profile().map(|p| {
         let s = dcn_telemetry::stall_breakdown_of(&p);
         StallRecord {
             execute_pct: s.execute_pct,
-            barrier_pct: s.barrier_pct,
-            drain_pct: s.drain_pct,
-            deposit_pct: s.deposit_pct,
+            barrier_pct: 0.0,
+            drain_pct: 0.0,
+            deposit_pct: 0.0,
             other_pct: s.other_pct,
         }
     });

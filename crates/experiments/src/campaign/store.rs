@@ -24,7 +24,10 @@ const INDEX_FILE: &str = "index.json";
 const RUNS_FILE: &str = "runs.jsonl";
 
 /// Engine stall percentages of one profiled run. Host-clock observation
-/// only — diff-exempt, recorded for fleet-level perf trending.
+/// only — diff-exempt, recorded for fleet-level perf trending. The
+/// `barrier`/`drain`/`deposit` phases belonged to a removed parallel
+/// engine; they stay in the `campaign/v1` record format and are written
+/// as `0.0`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StallRecord {
     pub execute_pct: f64,

@@ -99,18 +99,10 @@ pub struct ChaosConfig {
     /// measure real transit packets. 0 (the default) adds no senders and
     /// leaves historical digests untouched.
     pub traffic_pairs: usize,
-    /// Worker threads for the sharded parallel engine (1 = sequential
-    /// reference). Per-seed digests are bit-identical across worker
-    /// counts; the equivalence suite enforces it.
-    pub workers: usize,
     /// Engine runtime profiling (host-clock observation only). Per-seed
     /// digests are bit-identical with it on or off; the equivalence
     /// suite enforces it.
     pub profile: bool,
-    /// Adaptive window batching on the sharded engine. On by default;
-    /// per-seed digests are bit-identical with it on or off — the
-    /// equivalence suite runs chaos seeds both ways.
-    pub batch_windows: bool,
 }
 
 impl Default for ChaosConfig {
@@ -142,9 +134,7 @@ impl Default for ChaosConfig {
             fast_path: true,
             local_repair: false,
             traffic_pairs: 0,
-            workers: 1,
             profile: false,
-            batch_windows: true,
         }
     }
 }
@@ -356,7 +346,7 @@ pub fn run_chaos_profiled(seed: u64, stack: Stack, cfg: &ChaosConfig) -> (ChaosR
     let profile = built.sim.take_profile().expect("profiling enabled");
     let names = crate::profile::node_names(&built.sim);
     let label = format!("chaos {} seed {}", stack.slug(), seed);
-    let report = PerfReport::new(profile, label, cfg.workers.max(1), names);
+    let report = PerfReport::new(profile, label, names);
     (run, report)
 }
 
@@ -377,9 +367,7 @@ fn run_chaos_once(
         StackTuning {
             fast_path: cfg.fast_path,
             local_repair: cfg.local_repair,
-            workers: cfg.workers.max(1),
             profile: cfg.profile,
-            batch_windows: cfg.batch_windows,
             ..StackTuning::default()
         },
         cfg.scheduler,
@@ -472,7 +460,7 @@ pub fn chaos_bundle(
     let perf = built.sim.take_profile().map(|profile| {
         let names = crate::profile::node_names(&built.sim);
         let label = format!("chaos {} seed {}", stack.slug(), seed);
-        PerfReport::new(profile, label, cfg.workers.max(1), names)
+        PerfReport::new(profile, label, names)
     });
     let sim = &built.sim;
     let name_of = |n: NodeId| sim.node_name(n).to_string();

@@ -62,26 +62,13 @@ pub struct StackTuning {
     /// reproduces the paper's loss windows; the equivalence suite proves
     /// `local_repair=off` digests are bit-identical to pre-repair code.
     pub local_repair: bool,
-    /// Worker threads for the sharded parallel engine. `1` (the
-    /// default) runs the sequential reference; `>1` switches the engine
-    /// to [`dcn_sim::EngineKind::Sharded`] with a PoD-aligned partition
-    /// from [`Fabric::shard_map`]. Trace digests are bit-identical
-    /// either way — the equivalence suite enforces it.
-    pub workers: usize,
-    /// Engine runtime profiling ([`dcn_sim::profiler`]): per-shard
-    /// window accounting with barrier-stall attribution. Off by
-    /// default. Profiling reads only the host monotonic clock and
+    /// Engine runtime profiling ([`dcn_sim::profiler`]): per-span
+    /// execute time, hot-node attribution and scheduler occupancy. Off
+    /// by default. Profiling reads only the host monotonic clock and
     /// writes into pre-sized buffers, so trace digests are bit-identical
     /// either way (the equivalence suite enforces it) and zero-alloc
     /// forwarding still holds.
     pub profile: bool,
-    /// Adaptive window batching on the sharded engine
-    /// ([`dcn_sim::SimConfig::batch_windows`]): fuse barrier rounds when
-    /// the published next-event times prove them safe. On by default;
-    /// trace digests are bit-identical either way — the equivalence
-    /// suite runs both settings — so turning it off only serves
-    /// barrier-overhead measurements.
-    pub batch_windows: bool,
 }
 
 impl Default for StackTuning {
@@ -93,9 +80,7 @@ impl Default for StackTuning {
             bfd_tx_interval: None,
             fast_path: true,
             local_repair: false,
-            workers: 1,
             profile: false,
-            batch_windows: true,
         }
     }
 }
@@ -231,13 +216,9 @@ pub fn build_fabric_sim_cfg(
     tuning: StackTuning,
     mut config: SimConfig,
 ) -> BuiltSim {
-    if tuning.workers > 1 {
-        config.engine = dcn_sim::EngineKind::Sharded { workers: tuning.workers };
-    }
     if tuning.profile {
         config.profile = true;
     }
-    config.batch_windows = tuning.batch_windows;
     let addr = Addressing::new(&fabric);
     let mut b = SimBuilder::with_config(seed, config);
     for (i, node) in fabric.nodes.iter().enumerate() {
@@ -268,10 +249,7 @@ pub fn build_fabric_sim_cfg(
         };
         b.add_link(NodeId(x as u32), NodeId(y as u32), spec);
     }
-    let mut sim = b.build();
-    if tuning.workers > 1 {
-        sim.set_partition(fabric.shard_map(tuning.workers));
-    }
+    let sim = b.build();
     BuiltSim { sim, fabric, addr, stack }
 }
 

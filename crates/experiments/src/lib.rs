@@ -46,7 +46,7 @@ pub use chaos::{
     run_campaign, run_chaos, run_chaos_profiled, CampaignConfig, ChaosConfig, FaultSchedule,
 };
 pub use profile::{
-    bundle_from_profiled, run_compare, run_profiled, warn_if_oversubscribed,
+    bundle_from_profiled, run_profiled, warn_if_oversubscribed,
     write_profile_artifacts,
     ProfiledRun,
 };

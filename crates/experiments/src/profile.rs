@@ -1,6 +1,6 @@
 //! Profiled experiment runs: a [`RunSpec`] executed with the engine
 //! profiler on, packaged as a [`dcn_telemetry::PerfReport`] and written
-//! to disk as `perf_report.json` (the `perf_report/v2` schema) plus
+//! to disk as `perf_report.json` (the `perf_report/v3` schema) plus
 //! `trace.chrome.json` (loadable in `chrome://tracing` / Perfetto).
 //!
 //! Profiling is a pure host-clock observation: the run's metrics and
@@ -31,23 +31,21 @@ pub fn node_names(sim: &Sim) -> Vec<String> {
         .collect()
 }
 
-/// Loud warning when a run asks for more engine workers than the host
-/// has cores: the extra shards time-slice instead of running in
-/// parallel, so barrier waits balloon and speedups are meaningless.
-pub fn warn_if_oversubscribed(workers: usize) {
+/// Loud warning when a campaign asks for more pool threads than the
+/// host has cores: the extra threads time-slice instead of running in
+/// parallel, so per-run wall-clock numbers are inflated.
+pub fn warn_if_oversubscribed(threads: usize) {
     let cores = host_cores();
-    if cores > 0 && workers as u64 > cores {
+    if cores > 0 && threads as u64 > cores {
         eprintln!(
-            "WARNING: --workers {workers} exceeds the host's {cores} available core(s); \
-             shards will time-slice, barrier stalls will dominate, and wall-clock \
-             numbers from this run are not meaningful speedup evidence"
+            "WARNING: --threads {threads} exceeds the host's {cores} available core(s); \
+             runs will time-slice and per-run wall-clock numbers will be inflated"
         );
     }
 }
 
 /// Execute `spec` with the profiler on and hand back the run plus its
-/// [`PerfReport`]. Callers that take a `--workers` flag should pass it
-/// through [`warn_if_oversubscribed`] first.
+/// [`PerfReport`].
 pub fn run_profiled(spec: RunSpec) -> ProfiledRun {
     let spec = spec.with_profile(true);
     let mut run = spec.run_instrumented();
@@ -59,17 +57,8 @@ pub fn run_profiled(spec: RunSpec) -> ProfiledRun {
         spec.failure.map(|tc| tc.label()).unwrap_or("steady"),
         spec.seed
     );
-    let report = PerfReport::new(profile, label, spec.tuning.workers, names);
+    let report = PerfReport::new(profile, label, names);
     ProfiledRun { run, report }
-}
-
-/// The same scenario profiled once per entry of `workers`, for
-/// side-by-side stall comparison (`fcr profile --compare 1,2,4`). Each
-/// run is complete and independent — digests are engine-blind, so the
-/// only thing that varies between columns is where the wall time went.
-/// Render the reports with [`dcn_telemetry::render_comparison`].
-pub fn run_compare(spec: RunSpec, workers: &[usize]) -> Vec<ProfiledRun> {
-    workers.iter().map(|&w| run_profiled(spec.with_workers(w))).collect()
 }
 
 /// [`bundle_from_run`] plus the perf artifacts: the replay bundle of a
@@ -105,11 +94,10 @@ mod tests {
     use dcn_telemetry::Json;
     use dcn_topology::{ClosParams, FailureCase};
 
-    fn quick_spec(workers: usize) -> RunSpec {
+    fn quick_spec() -> RunSpec {
         RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
             .failing(FailureCase::Tc1)
             .seeded(5)
-            .with_workers(workers)
             .timed(Timing {
                 warmup: secs(2),
                 traffic_lead: millis(100),
@@ -120,39 +108,34 @@ mod tests {
 
     #[test]
     fn profiled_run_attributes_the_whole_wall() {
-        let p = run_profiled(quick_spec(2));
+        let p = run_profiled(quick_spec());
         let prof = p.report.profile();
-        assert_eq!(prof.shards.len(), 2, "one profile per shard");
+        assert_eq!(prof.shards.len(), 1, "one engine profile");
         assert!(prof.total_events() > 0);
-        assert!(prof.spans >= 1, "parallel spans ran");
-        assert!(prof.lookahead.is_some());
-        for s in &prof.shards {
-            let attributed = s.execute_ns + s.barrier_ns + s.drain_ns + s.deposit_ns + s.other_ns();
-            // other_ns is derived as wall - phases (clamped), so the sum
-            // reconstructs the wall exactly unless phases overshot wall
-            // by clock noise — tolerate 5% as the acceptance bound asks.
-            assert!(
-                (attributed as f64 - s.wall_ns as f64).abs() <= s.wall_ns as f64 * 0.05,
-                "shard {}: attributed {attributed} vs wall {}",
-                s.shard,
-                s.wall_ns
-            );
-            assert!(s.wall_ns > 0, "shard {} saw wall time", s.shard);
-        }
+        let s = &prof.shards[0];
+        let attributed = s.execute_ns + s.other_ns();
+        // other_ns is derived as wall - execute (clamped), so the sum
+        // reconstructs the wall exactly unless execute overshot wall by
+        // clock noise — tolerate 5% as the acceptance bound asks.
+        assert!(
+            (attributed as f64 - s.wall_ns as f64).abs() <= s.wall_ns as f64 * 0.05,
+            "attributed {attributed} vs wall {}",
+            s.wall_ns
+        );
+        assert!(s.wall_ns > 0, "the engine saw wall time");
         // The run's ordinary metrics still came out.
         assert!(p.run.result.convergence_ms.is_some());
     }
 
     #[test]
     fn artifacts_write_and_parse() {
-        let p = run_profiled(quick_spec(1));
+        let p = run_profiled(quick_spec());
         let dir = std::env::temp_dir().join(format!("dcn-perf-test-{}", std::process::id()));
         let written = write_profile_artifacts(&p.report, &dir).unwrap();
         assert_eq!(written.len(), 2);
         let report = std::fs::read_to_string(dir.join("perf_report.json")).unwrap();
         let doc = Json::parse(report.trim()).unwrap();
-        assert_eq!(doc.get("schema").unwrap().as_str(), Some("perf_report/v2"));
-        assert_eq!(doc.get("engine").unwrap().as_str(), Some("sequential"));
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some("perf_report/v3"));
         let trace = std::fs::read_to_string(dir.join("trace.chrome.json")).unwrap();
         let tdoc = Json::parse(trace.trim()).unwrap();
         assert!(!tdoc.get("traceEvents").unwrap().as_arr().unwrap().is_empty());
@@ -160,27 +143,8 @@ mod tests {
     }
 
     #[test]
-    fn compare_runs_one_report_per_worker_count() {
-        let runs = run_compare(quick_spec(1), &[1, 2]);
-        assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0].report.workers, 1);
-        assert_eq!(runs[1].report.workers, 2);
-        assert_eq!(runs[0].report.engine(), "sequential");
-        assert_eq!(runs[1].report.engine(), "sharded");
-        // Same scenario: identical metrics, only the stall profile moves.
-        assert_eq!(
-            runs[0].run.result.convergence_ms,
-            runs[1].run.result.convergence_ms
-        );
-        let text = dcn_telemetry::render_comparison(
-            &runs.iter().map(|p| p.report.clone()).collect::<Vec<_>>(),
-        );
-        assert!(text.contains("w=1") && text.contains("w=2") && text.contains("delta"), "{text}");
-    }
-
-    #[test]
     fn profiled_bundle_carries_the_perf_files() {
-        let spec = quick_spec(2);
+        let spec = quick_spec();
         let p = run_profiled(spec);
         let b = bundle_from_profiled(&p, &spec);
         let names: Vec<&str> = b.files().iter().map(|(n, _)| n.as_str()).collect();

@@ -110,10 +110,7 @@ fn aggregate(raw: Vec<ScenarioResult>) -> ReplicatedResult {
 /// Fig. 4 with replication: convergence as mean [min–max] over `seeds`.
 /// `local_repair` threads the CLI's `--local-repair` knob into every
 /// replicated run (it must not move convergence, only the loss window).
-/// `workers > 1` runs every replication on the sharded parallel engine
-/// — the digests and therefore every statistic are engine-blind, so
-/// this is a perf knob, not an experiment variable.
-pub fn fig4_replicated(seeds: &[u64], local_repair: bool, workers: usize) -> Figure {
+pub fn fig4_replicated(seeds: &[u64], local_repair: bool) -> Figure {
     let mut rows = Vec::new();
     for (name, params) in [("2-PoD", ClosParams::two_pod()), ("4-PoD", ClosParams::four_pod())] {
         for stack in Stack::ALL {
@@ -122,8 +119,7 @@ pub fn fig4_replicated(seeds: &[u64], local_repair: bool, workers: usize) -> Fig
                     RunSpec::new(params, stack)
                         .failing(tc)
                         .with_traffic(TrafficDir::None)
-                        .with_local_repair(local_repair)
-                        .with_workers(workers),
+                        .with_local_repair(local_repair),
                     seeds,
                 );
                 rows.push(vec![

@@ -144,30 +144,12 @@ impl RunSpec {
         self
     }
 
-    /// Run on the sharded parallel engine with `workers` threads
-    /// (`1` keeps the sequential reference engine). Metrics and trace
-    /// digests are bit-identical either way; workers only buy wall-clock
-    /// speed on multi-core hosts.
-    pub fn with_workers(mut self, workers: usize) -> RunSpec {
-        self.tuning.workers = workers.max(1);
-        self
-    }
-
-    /// Enable engine runtime profiling (per-shard window accounting,
-    /// barrier-stall attribution). Host-clock observation only: metrics
-    /// and trace digests are bit-identical either way — the equivalence
-    /// suite enforces it.
+    /// Enable engine runtime profiling (per-span execute time, hot-node
+    /// attribution, scheduler occupancy). Host-clock observation only:
+    /// metrics and trace digests are bit-identical either way — the
+    /// equivalence suite enforces it.
     pub fn with_profile(mut self, on: bool) -> RunSpec {
         self.tuning.profile = on;
-        self
-    }
-
-    /// Enable or disable adaptive window batching on the sharded engine
-    /// (on by default). An engine-only knob: trace digests are
-    /// bit-identical either way — the equivalence suite runs both — so
-    /// like `with_workers` it is excluded from [`RunSpec::key`].
-    pub fn with_batching(mut self, on: bool) -> RunSpec {
-        self.tuning.batch_windows = on;
         self
     }
 
@@ -177,7 +159,7 @@ impl RunSpec {
     /// This is the results-store run key — two specs with equal keys are
     /// the same experiment and must produce bit-identical trace digests.
     /// Engine-only knobs the equivalence suite proves digest-invariant
-    /// (scheduler backend, sharded-engine workers, profiler) and the
+    /// (scheduler backend, profiler) and the
     /// read-only telemetry sink are deliberately *excluded*, so stores
     /// recorded under different engine configurations diff cleanly
     /// against each other.
@@ -253,9 +235,9 @@ mod tests {
             .with_traffic(TrafficDir::FarToNear)
             .seeded(9)
             .with_scheduler(SchedulerKind::Heap)
-            .with_workers(4)
+            .with_profile(true)
             .with_telemetry(TelemetryConfig::default());
-        assert_eq!(spec.tuning.workers, 4);
+        assert!(spec.tuning.profile);
         assert_eq!(spec.stack, Stack::BgpEcmp);
         assert_eq!(spec.failure, Some(FailureCase::Tc2));
         assert_eq!(spec.traffic, TrafficDir::FarToNear);
@@ -268,10 +250,8 @@ mod tests {
     fn key_distinguishes_experiments_but_not_engine_knobs() {
         let base = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp).failing(FailureCase::Tc1);
         // Engine-only knobs are digest-invariant and excluded from the key.
-        assert_eq!(base.key(), base.with_workers(4).key());
         assert_eq!(base.key(), base.with_scheduler(SchedulerKind::Heap).key());
         assert_eq!(base.key(), base.with_profile(true).key());
-        assert_eq!(base.key(), base.with_batching(false).key());
         assert_eq!(base.key(), base.with_telemetry(TelemetryConfig::default()).key());
         // Everything semantic changes it.
         assert_ne!(base.key(), base.seeded(7).key());
@@ -281,7 +261,7 @@ mod tests {
         assert_ne!(base.key(), base.with_local_repair(true).key());
         assert_ne!(base.key(), base.with_fast_path(false).key());
         // The hash tracks the key.
-        assert_eq!(base.key_hash(), base.with_workers(2).key_hash());
+        assert_eq!(base.key_hash(), base.with_profile(true).key_hash());
         assert_ne!(base.key_hash(), base.seeded(7).key_hash());
     }
 

@@ -199,117 +199,17 @@ fn local_repair_off_matches_pre_change_golden_digests() {
 }
 
 // ----------------------------------------------------------------------
-// Sharded parallel engine: bit-identical to the sequential reference
-// ----------------------------------------------------------------------
-
-fn parallel_invisible(spec: RunSpec) {
-    let sequential = run_digest(spec);
-    for workers in [2usize, 4, 8] {
-        for batching in [true, false] {
-            let parallel = run_digest(spec.with_workers(workers).with_batching(batching));
-            assert_eq!(
-                sequential, parallel,
-                "sharded engine ({workers} workers, batching {batching}) diverged for {spec:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_digest_identical_on_mrmtp_tc_cases() {
-    for tc in [FailureCase::Tc1, FailureCase::Tc2, FailureCase::Tc3, FailureCase::Tc4] {
-        parallel_invisible(
-            RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
-                .failing(tc)
-                .with_traffic(TrafficDir::NearToFar),
-        );
-    }
-}
-
-#[test]
-fn parallel_digest_identical_on_bgp_tc_cases() {
-    for tc in [FailureCase::Tc1, FailureCase::Tc2, FailureCase::Tc3, FailureCase::Tc4] {
-        parallel_invisible(
-            RunSpec::new(ClosParams::two_pod(), Stack::BgpEcmp)
-                .failing(tc)
-                .with_traffic(TrafficDir::FarToNear),
-        );
-    }
-}
-
-#[test]
-fn parallel_digest_identical_under_chaos() {
-    // Chaos is the hostile case for the sharded engine: random admin
-    // flaps must mirror onto remote shards at the right instant, and
-    // per-(link, direction) impairment streams must advance in sender
-    // dispatch order regardless of which thread runs the sender.
-    for (stack, seed) in [
-        (Stack::Mrmtp, 11u64),
-        (Stack::Mrmtp, 12),
-        (Stack::Mrmtp, 13),
-        (Stack::BgpEcmp, 11),
-        (Stack::BgpEcmp, 12),
-        (Stack::BgpEcmp, 13),
-    ] {
-        let sequential = run_chaos(seed, stack, &quick_chaos());
-        for workers in [2usize, 4, 8] {
-            for batch_windows in [true, false] {
-                let cfg = ChaosConfig { workers, batch_windows, ..quick_chaos() };
-                let parallel = run_chaos(seed, stack, &cfg);
-                assert_eq!(
-                    sequential.digest, parallel.digest,
-                    "{} chaos seed {seed}: sharded engine ({workers} workers, \
-                     batching {batch_windows}) diverged",
-                    stack.label(),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_digest_identical_on_bigger_fabric() {
-    // An 8-PoD fabric exercises many-shard partitions (spine shard + 7
-    // PoD shards at workers=8) rather than the 2-PoD minimum, and at
-    // workers=12 the spine tier itself splits across several shards.
-    let spec = RunSpec::new(
-        ClosParams::scaled(8).expect("8 PoDs is a valid scaled shape"),
-        Stack::Mrmtp,
-    )
-    .failing(FailureCase::Tc3)
-    .with_traffic(TrafficDir::NearToFar);
-    let sequential = run_digest(spec);
-    for workers in [4usize, 8, 12] {
-        for batching in [true, false] {
-            assert_eq!(
-                sequential,
-                run_digest(spec.with_workers(workers).with_batching(batching)),
-                "sharded engine diverged on the 8-PoD fabric at {workers} workers \
-                 (batching {batching})"
-            );
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
 // Engine profiler: a pure host-clock observer, digests identical on/off
 // ----------------------------------------------------------------------
 
 /// The profiler reads `Instant` and fills pre-sized buffers; it never
 /// touches event content, ordering, or the simulated clock. A profiled
-/// run must therefore produce a bit-identical trace digest — on the
-/// sequential engine and on the sharded one.
+/// run must therefore produce a bit-identical trace digest.
 fn profiler_invisible(spec: RunSpec) {
-    let off = run_digest(spec);
     assert_eq!(
-        off,
+        run_digest(spec),
         run_digest(spec.with_profile(true)),
-        "profiler changed the sequential digest for {spec:?}"
-    );
-    assert_eq!(
-        off,
-        run_digest(spec.with_profile(true).with_workers(2)),
-        "profiled sharded engine diverged for {spec:?}"
+        "profiler changed the digest for {spec:?}"
     );
 }
 
@@ -337,20 +237,18 @@ fn profiler_digest_identical_on_bgp_tc_cases() {
 
 #[test]
 fn profiler_digest_identical_under_chaos() {
-    // Loss, corruption, jitter, flaps, and crashes on both engines: the
-    // profiler's window records must stay a read-only side channel.
+    // Loss, corruption, jitter, flaps, and crashes: the profiler's
+    // window records must stay a read-only side channel.
     for (stack, seed) in [(Stack::Mrmtp, 11u64), (Stack::BgpEcmp, 12)] {
         let bare = run_chaos(seed, stack, &quick_chaos());
-        for workers in [1usize, 2] {
-            let cfg = ChaosConfig { profile: true, workers, ..quick_chaos() };
-            let profiled = run_chaos(seed, stack, &cfg);
-            assert_eq!(
-                bare.digest,
-                profiled.digest,
-                "{} chaos seed {seed}: profiler changed the digest at {workers} worker(s)",
-                stack.label(),
-            );
-        }
+        let cfg = ChaosConfig { profile: true, ..quick_chaos() };
+        let profiled = run_chaos(seed, stack, &cfg);
+        assert_eq!(
+            bare.digest,
+            profiled.digest,
+            "{} chaos seed {seed}: profiler changed the digest",
+            stack.label(),
+        );
     }
 }
 

@@ -11,34 +11,36 @@
 //! delivery) and engine bookkeeping stay outside the scope.
 //!
 //! With no counting allocator installed (the normal case: library tests,
-//! the simulation proper) the cost is two relaxed atomic stores per
-//! forwarded packet and the counters simply stay zero —
+//! the simulation proper) the cost is one thread-local increment per
+//! forwarded packet and the allocation counter simply stays zero —
 //! [`counting_allocator_installed`] lets reports distinguish "measured
 //! zero" from "not measured".
 //!
-//! The totals are process-wide atomics, but the *scope* flag is
-//! per-thread: the sharded engine dispatches forwarding code on several
-//! worker threads at once, and a process-global flag would charge one
-//! worker's engine bookkeeping to another worker's forwarding scope. A
-//! `#[global_allocator]` runs before — and during — thread-local
-//! teardown, so the scope state uses a const-initialized `Cell` (no
-//! lazy init, no destructor registration on read) accessed with
-//! `try_with` and treated as "not in scope" once the thread is tearing
-//! down.
+//! The scope flag and both counters are per-thread: a simulation runs
+//! on the thread that calls `run_until`, so [`reset`], the run and the
+//! reads all happen on one thread, and simulations running concurrently
+//! on other threads (parallel tests, campaign pool workers) cannot
+//! corrupt each other's counts. A `#[global_allocator]` runs before —
+//! and during — thread-local teardown, so the state uses
+//! const-initialized `Cell`s (no lazy init, no destructor registration
+//! on read) accessed with `try_with` on the allocator side and treated
+//! as "not in scope" once the thread is tearing down.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 thread_local! {
     /// Forwarding-scope nesting depth of the current thread. Const-init
     /// keeps first access allocation-free, which matters inside the
     /// global allocator.
     static SCOPE_DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// Allocations this thread made inside a forwarding scope.
+    static SCOPED_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Forwarded packets this thread recorded.
+    static FORWARDED: Cell<u64> = const { Cell::new(0) };
 }
 
-static SCOPED_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FORWARDED: AtomicU64 = AtomicU64::new(0);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 /// RAII guard marking the current extent as forwarding-path code.
@@ -65,27 +67,27 @@ impl Drop for ScopeGuard {
     }
 }
 
-/// Record one forwarded data packet (the denominator).
+/// Record one forwarded data packet (the denominator) on this thread.
 #[inline]
 pub fn note_forward() {
-    FORWARDED.fetch_add(1, Relaxed);
+    FORWARDED.with(|f| f.set(f.get() + 1));
 }
 
-/// Zero both counters (start of a measurement window).
+/// Zero this thread's counters (start of a measurement window).
 pub fn reset() {
-    SCOPED_ALLOCS.store(0, Relaxed);
-    FORWARDED.store(0, Relaxed);
+    SCOPED_ALLOCS.with(|a| a.set(0));
+    FORWARDED.with(|f| f.set(0));
 }
 
-/// Allocations observed inside forwarding scopes (any thread) since
+/// Allocations this thread made inside forwarding scopes since
 /// [`reset`].
 pub fn scoped_allocs() -> u64 {
-    SCOPED_ALLOCS.load(Relaxed)
+    SCOPED_ALLOCS.with(Cell::get)
 }
 
-/// Forwarded packets recorded since [`reset`].
+/// Forwarded packets this thread recorded since [`reset`].
 pub fn forwarded() -> u64 {
-    FORWARDED.load(Relaxed)
+    FORWARDED.with(Cell::get)
 }
 
 /// Has a [`CountingAllocator`] observed any allocation in this process?
@@ -117,13 +119,14 @@ impl CountingAllocator {
         // teardown allocations are engine bookkeeping, not forwarding.
         let in_scope = SCOPE_DEPTH.try_with(|d| d.get() > 0).unwrap_or(false);
         if in_scope {
-            SCOPED_ALLOCS.fetch_add(1, Relaxed);
+            let _ = SCOPED_ALLOCS.try_with(|a| a.set(a.get() + 1));
         }
     }
 }
 
 // SAFETY: pure delegation to `System`; the counters never allocate
-// (the scope flag is a const-initialized thread-local `Cell`).
+// (the scope flag and counters are const-initialized thread-local
+// `Cell`s).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.count();
@@ -196,5 +199,22 @@ mod tests {
         assert_eq!(forwarded(), 0);
         // No counting allocator in unit tests: scoped allocs stay zero.
         assert_eq!(scoped_allocs(), 0);
+    }
+
+    #[test]
+    fn forward_counts_are_per_thread() {
+        reset();
+        note_forward();
+        // Another thread's forwarding must not leak into this thread's
+        // measurement window, and vice versa.
+        std::thread::spawn(|| {
+            assert_eq!(forwarded(), 0, "a fresh thread starts at zero");
+            note_forward();
+            note_forward();
+            assert_eq!(forwarded(), 2);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(forwarded(), 1);
     }
 }

@@ -31,7 +31,7 @@ fn lossy_exchange(writes: &[Vec<u8>], drop_pattern: &[bool]) -> Vec<u8> {
             }
         }
         // Deliver queued segments, dropping per the pattern.
-        let ab: Vec<TcpSegment> = wire_ab.drain(..).collect();
+        let ab: Vec<TcpSegment> = std::mem::take(&mut wire_ab);
         for seg in ab {
             let dropped = drop_pattern.get(drop_idx).copied().unwrap_or(false);
             drop_idx += 1;
@@ -42,7 +42,7 @@ fn lossy_exchange(writes: &[Vec<u8>], drop_pattern: &[bool]) -> Vec<u8> {
             received.extend(out.delivered);
             wire_ba.extend(out.segments);
         }
-        let ba: Vec<TcpSegment> = wire_ba.drain(..).collect();
+        let ba: Vec<TcpSegment> = std::mem::take(&mut wire_ba);
         for seg in ba {
             let dropped = drop_pattern.get(drop_idx).copied().unwrap_or(false);
             drop_idx += 1;

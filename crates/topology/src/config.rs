@@ -203,8 +203,7 @@ mod tests {
 
     #[test]
     fn config_burden_gap_grows_with_fabric() {
-        let (f2, a2) = (Fabric::build(ClosParams::two_pod()), ());
-        let _ = a2;
+        let f2 = Fabric::build(ClosParams::two_pod());
         let addr2 = Addressing::new(&f2);
         let (f4, addr4) = four_pod();
         let bgp2 = ConfigStats::for_bgp(&f2, &addr2, true);

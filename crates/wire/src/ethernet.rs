@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn mac_display_and_kind() {
         assert_eq!(MacAddr::BROADCAST.to_string(), "ff:ff:ff:ff:ff:ff");
-        let m = MacAddr::for_node_port(0x0102_03, 0x0405);
+        let m = MacAddr::for_node_port(0x0001_0203, 0x0405);
         assert_eq!(m.to_string(), "02:01:02:03:04:05");
         assert!(!m.is_broadcast());
         assert!(MacAddr::BROADCAST.is_broadcast());

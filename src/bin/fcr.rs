@@ -12,7 +12,7 @@
 //! fcr keepalive                    # Figs. 9–10 summary
 //! fcr bench --scale 2,4,8,16       # scaling + scheduler benchmarks
 //! fcr bench --traffic              # data-plane forwarding soak
-//! fcr profile mrmtp tc1 --workers 4  # engine stall breakdown + Chrome trace
+//! fcr profile mrmtp tc1           # engine time breakdown + Chrome trace
 //! ```
 //!
 //! Stacks: `mrmtp`, `bgp`, `bgp-bfd`. Cases: `tc1`–`tc4`.
@@ -40,27 +40,20 @@ fn usage() -> ! {
          \x20                               tc: tc1..tc4; dir: near|far, default near)\n\
          \x20   --pods N             fabric size in PoDs (even, default 2)\n\
          \x20   --seed N             seed (default 42)\n\
-         \x20   --workers N          shards for the parallel engine (default 1 =\n\
-         \x20                        sequential; digests are engine-blind)\n\
          \x20   --local-repair       enable in-data-plane local fast reroute\n\
          \x20   --telemetry-out DIR  also write the run's trace bundle under DIR\n\
          \x20   --profile-out DIR    also profile the engine and write\n\
          \x20                        perf_report.json + trace.chrome.json under DIR\n\
          \x20 profile <stack> <tc>          engine runtime profile of one scenario:\n\
-         \x20                               per-shard stall breakdown, hot nodes,\n\
+         \x20                               execute/other time, hot nodes,\n\
          \x20                               scheduler occupancy\n\
          \x20   --pods N             fabric size in PoDs (even, default 2)\n\
          \x20   --seed N             seed (default 42)\n\
-         \x20   --workers N          shards for the parallel engine (default 1)\n\
-         \x20   --compare A,B[,..]   profile once per worker count and print the\n\
-         \x20                        stall tables side by side with deltas\n\
          \x20   --local-repair       enable in-data-plane local fast reroute\n\
-         \x20   --out DIR            write perf_report.json (perf_report/v2) and\n\
-         \x20                        trace.chrome.json (chrome://tracing / Perfetto;\n\
-         \x20                        one w<N>/ subdir each with --compare)\n\
+         \x20   --out DIR            write perf_report.json (perf_report/v3) and\n\
+         \x20                        trace.chrome.json (chrome://tracing / Perfetto)\n\
          \x20 report <stack> <tc>           convergence storyboard + per-router counters\n\
          \x20   --seed N             seed (default 42)\n\
-         \x20   --workers N          shards for the parallel engine (default 1)\n\
          \x20   --local-repair       enable in-data-plane local fast reroute\n\
          \x20   --telemetry-out DIR  also write the run's trace bundle under DIR\n\
          \x20 listings                      Listings 1/2/3/5 artifacts\n\
@@ -69,7 +62,6 @@ fn usage() -> ! {
          \x20 keepalive                     steady-state keep-alive summary\n\
          \x20 extended                      whole-node/multi-point failures + encap overhead\n\
          \x20 replicate [n]                 Fig. 4 averaged over n seeds\n\
-         \x20   --workers N          shards for the parallel engine (default 1)\n\
          \x20   --local-repair       enable in-data-plane local fast reroute\n\
          \x20   --telemetry-out DIR  also write per-seed bundles for each stack on TC1\n\
          \x20 chaos [opts]                  randomized fault campaign with invariant checks\n\
@@ -82,8 +74,6 @@ fn usage() -> ! {
          \x20   --k N            concurrent-failure burst size (default 2)\n\
          \x20   --loss-ppm N     frame loss during window (default 2000)\n\
          \x20   --corrupt-ppm N  frame corruption during window (default 10000)\n\
-         \x20   --workers N      in-sim shards per run (default 1; campaign\n\
-         \x20                    seeds already fan out across --threads)\n\
          \x20   --local-repair   enable local fast reroute (+ repair-loop invariant)\n\
          \x20   --traffic-pairs N  cross-pod background flows per schedule (default 0)\n\
          \x20   --no-determinism skip the double-run digest comparison\n\
@@ -107,9 +97,6 @@ fn usage() -> ! {
          \x20                        (default 5; digests are compared exactly)\n\
          \x20 bench [opts]                  scaling + scheduler benchmarks\n\
          \x20   --scale LIST     comma list of PoD counts (default 2,4,8,16,32,64)\n\
-         \x20   --workers LIST   worker counts swept at each PoD count of at\n\
-         \x20                    least 16 (default 1,2,4; 1 is always run and\n\
-         \x20                    is the speedup baseline)\n\
          \x20   --traffic        forwarding soak instead: packets/sec and\n\
          \x20                    allocs per forwarded packet, fast vs slow path\n\
          \x20   --quick          short windows (CI smoke mode)\n\
@@ -142,13 +129,11 @@ struct RunFlags {
     out: Option<PathBuf>,
     seed: Option<u64>,
     pods: Option<usize>,
-    workers: usize,
     local_repair: bool,
-    compare: Option<Vec<usize>>,
 }
 
 /// Pull `--telemetry-out DIR`, `--profile-out DIR`, `--out DIR`,
-/// `--seed N`, `--pods N`, `--workers N` and `--local-repair` out of
+/// `--seed N`, `--pods N` and `--local-repair` out of
 /// `args`, returning the remaining positional arguments.
 fn split_flags(args: &[String]) -> (Vec<&str>, RunFlags) {
     let mut positional = Vec::new();
@@ -158,9 +143,7 @@ fn split_flags(args: &[String]) -> (Vec<&str>, RunFlags) {
         out: None,
         seed: None,
         pods: None,
-        workers: 1,
         local_repair: false,
-        compare: None,
     };
     let mut i = 0;
     while i < args.len() {
@@ -192,21 +175,6 @@ fn split_flags(args: &[String]) -> (Vec<&str>, RunFlags) {
             "--pods" => {
                 let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else { usage() };
                 flags.pods = Some(n);
-                i += 2;
-            }
-            "--workers" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else { usage() };
-                dcn_experiments::warn_if_oversubscribed(n);
-                flags.workers = n;
-                i += 2;
-            }
-            "--compare" => {
-                let list: Option<Vec<usize>> = args
-                    .get(i + 1)
-                    .map(|s| s.split(',').map(|w| w.trim().parse().ok().filter(|&w| w > 0)))
-                    .and_then(|it| it.collect());
-                let Some(list) = list.filter(|l| !l.is_empty()) else { usage() };
-                flags.compare = Some(list);
                 i += 2;
             }
             a => {
@@ -271,8 +239,7 @@ fn main() {
                 .failing(parse_tc(tc))
                 .with_traffic(dir)
                 .seeded(flags.seed.unwrap_or(seed))
-                .with_local_repair(flags.local_repair)
-                .with_workers(flags.workers);
+                .with_local_repair(flags.local_repair);
             let r = if let Some(pdir) = flags.profile_out {
                 // Profiled run: host-clock observation only, digests and
                 // metrics identical to an unprofiled run.
@@ -346,33 +313,7 @@ fn main() {
                 .failing(parse_tc(tc))
                 .with_traffic(TrafficDir::NearToFar)
                 .seeded(flags.seed.unwrap_or(seed))
-                .with_local_repair(flags.local_repair)
-                .with_workers(flags.workers);
-            if let Some(worker_list) = &flags.compare {
-                for &w in worker_list {
-                    dcn_experiments::warn_if_oversubscribed(w);
-                }
-                let runs = dcn_experiments::run_compare(s, worker_list);
-                let reports: Vec<_> = runs.iter().map(|p| p.report.clone()).collect();
-                print!("{}", dcn_telemetry::render_comparison(&reports));
-                if let Some(dir) = flags.out {
-                    for p in &runs {
-                        let sub = dir.join(format!("w{}", p.report.workers));
-                        match dcn_experiments::write_profile_artifacts(&p.report, &sub) {
-                            Ok(paths) => {
-                                for path in paths {
-                                    eprintln!("wrote {}", path.display());
-                                }
-                            }
-                            Err(e) => {
-                                eprintln!("profile write to {} failed: {e}", sub.display());
-                                std::process::exit(2);
-                            }
-                        }
-                    }
-                }
-                return;
-            }
+                .with_local_repair(flags.local_repair);
             let p = dcn_experiments::run_profiled(s);
             print!("{}", p.report.render_text());
             if let Some(dir) = flags.out {
@@ -396,8 +337,7 @@ fn main() {
                 RunSpec::new(ClosParams::two_pod(), parse_stack(stack))
                     .failing(parse_tc(tc))
                     .seeded(flags.seed.unwrap_or(seed))
-                    .with_local_repair(flags.local_repair)
-                    .with_workers(flags.workers),
+                    .with_local_repair(flags.local_repair),
             );
             print!("{}", r.text);
             if let Some(out) = flags.telemetry_out {
@@ -426,12 +366,7 @@ fn main() {
             eprintln!("replicating Fig. 4 over {n} seeds…");
             println!(
                 "{}",
-                dcn_experiments::replicate::fig4_replicated(
-                    &seeds,
-                    flags.local_repair,
-                    flags.workers,
-                )
-                .render()
+                dcn_experiments::replicate::fig4_replicated(&seeds, flags.local_repair).render()
             );
             if let Some(out) = flags.telemetry_out {
                 // One instrumented replication per stack on the headline
@@ -439,8 +374,7 @@ fn main() {
                 for stack in Stack::ALL {
                     let s = RunSpec::new(ClosParams::two_pod(), stack)
                         .failing(FailureCase::Tc1)
-                        .with_local_repair(flags.local_repair)
-                        .with_workers(flags.workers);
+                        .with_local_repair(flags.local_repair);
                     let r = dcn_experiments::replicate::run_replicated_instrumented(s, &seeds, &out);
                     if let Some(c) = r.convergence_ms {
                         eprintln!("{}: TC1 convergence {} ms", stack.label(), c.render(1));
@@ -475,10 +409,6 @@ fn main() {
                     "--corrupt-ppm" => {
                         cfg.chaos.impairment.corrupt_ppm =
                             val(i).parse().unwrap_or_else(|_| usage())
-                    }
-                    "--workers" => {
-                        cfg.chaos.workers = val(i).parse().unwrap_or_else(|_| usage());
-                        dcn_experiments::warn_if_oversubscribed(cfg.chaos.workers);
                     }
                     "--local-repair" => {
                         cfg.chaos.local_repair = true;
@@ -670,7 +600,6 @@ fn main() {
         }
         Some("bench") => {
             let mut pods: Vec<usize> = vec![2, 4, 8, 16, 32, 64];
-            let mut workers: Vec<usize> = vec![1, 2, 4];
             let mut quick = false;
             let mut traffic = false;
             let mut out: Option<PathBuf> = None;
@@ -687,16 +616,6 @@ fn main() {
                             .split(',')
                             .map(|p| p.parse().unwrap_or_else(|_| usage()))
                             .collect();
-                        i += 2;
-                    }
-                    "--workers" => {
-                        workers = val(i)
-                            .split(',')
-                            .map(|w| w.parse().unwrap_or_else(|_| usage()))
-                            .collect();
-                        for &w in &workers {
-                            dcn_experiments::warn_if_oversubscribed(w);
-                        }
                         i += 2;
                     }
                     "--quick" => {
@@ -763,12 +682,10 @@ fn main() {
                 return;
             }
             eprintln!(
-                "benchmarking scheduler + fabric scale at {pods:?} PoDs, \
-                 worker sweep {workers:?} from {} PoDs ({})…",
-                bench::WORKER_SWEEP_MIN_PODS,
+                "benchmarking scheduler + fabric scale at {pods:?} PoDs ({})…",
                 if quick { "quick" } else { "full" }
             );
-            let report = match bench::run_bench(&pods, &workers, quick, seed) {
+            let report = match bench::run_bench(&pods, quick, seed) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("bench: {e}");
@@ -787,12 +704,11 @@ fn main() {
                 }
             }
             if let Some(dir) = profile_out {
-                // Full perf artifacts for the heaviest configuration in
-                // the sweep: the point where stall attribution matters.
+                // Full perf artifacts for the heaviest fabric in the
+                // sweep: the point where time attribution matters.
                 let top_pods = pods.iter().copied().max().unwrap_or(2);
-                let top_workers = workers.iter().copied().max().unwrap_or(1);
-                eprintln!("profiling {top_pods} PoDs at {top_workers} worker(s)…");
-                match bench::profile_scale_run(top_pods, top_workers, quick, seed) {
+                eprintln!("profiling {top_pods} PoDs…");
+                match bench::profile_scale_run(top_pods, quick, seed) {
                     Ok(perf) => match dcn_experiments::write_profile_artifacts(&perf, &dir) {
                         Ok(paths) => {
                             for path in paths {
